@@ -57,6 +57,7 @@ race:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzTokenize -fuzztime=10s ./internal/tokenize
 	$(GO) test -run='^$$' -fuzz=FuzzCompileSentence -fuzztime=10s ./internal/crf
+	$(GO) test -run='^$$' -fuzz=FuzzReadArtifact -fuzztime=10s ./internal/graphner
 	$(GO) test -run 'TestPoolLife|TestLockAtCall|TestDeterminism|TestErrDrop|TestDiffRoundTrip' -count=1 ./internal/analysis ./cmd/graphnerlint
 
 # Fast performance-regression gate (<30s): the incremental-maintenance

@@ -199,8 +199,11 @@ func BenchmarkScaling_Propagation(b *testing.B) {
 		b.Run(fmt.Sprintf("iterations=%d", iters), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				X := make([][]float64, g.NumVertices())
-				if _, err := propagate.Run(g, X, xref, labelled, propagate.Config{
+				X := make([]float64, g.NumVertices()*corpus.NumTags)
+				for j := range X {
+					X[j] = 1.0 / corpus.NumTags
+				}
+				if _, err := propagate.RunFlat(g, X, xref, labelled, propagate.Config{
 					Mu: 1e-6, Nu: 1e-6, Iterations: iters,
 				}); err != nil {
 					b.Fatal(err)
@@ -321,8 +324,11 @@ func BenchmarkAblation_PropagationSymmetrize(b *testing.B) {
 	for _, sym := range []bool{false, true} {
 		b.Run(fmt.Sprintf("symmetrize=%v", sym), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				X := make([][]float64, g.NumVertices())
-				if _, err := propagate.Run(g, X, xref, labelled, propagate.Config{
+				X := make([]float64, g.NumVertices()*corpus.NumTags)
+				for j := range X {
+					X[j] = 1.0 / corpus.NumTags
+				}
+				if _, err := propagate.RunFlat(g, X, xref, labelled, propagate.Config{
 					Mu: 1e-6, Nu: 1e-6, Iterations: 3, Symmetrize: sym,
 				}); err != nil {
 					b.Fatal(err)

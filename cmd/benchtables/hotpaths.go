@@ -137,8 +137,8 @@ func runHotpaths(outPath string, log *os.File) error {
 			record(name, testing.Benchmark(func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					X := make([][]float64, g.NumVertices())
-					if _, err := propagate.Run(g, X, xref, labelled, propagate.Config{
+					X := uniformBeliefs(g.NumVertices())
+					if _, err := propagate.RunFlat(g, X, xref, labelled, propagate.Config{
 						Mu: 1e-6, Nu: 1e-6, Iterations: iters,
 					}); err != nil {
 						b.Fatal(err)
@@ -154,8 +154,8 @@ func runHotpaths(outPath string, log *os.File) error {
 			recordWorkers(name, w, testing.Benchmark(func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					X := make([][]float64, g.NumVertices())
-					if _, err := propagate.Run(g, X, xref, labelled, propagate.Config{
+					X := uniformBeliefs(g.NumVertices())
+					if _, err := propagate.RunFlat(g, X, xref, labelled, propagate.Config{
 						Mu: 1e-6, Nu: 1e-6, Iterations: 4, Workers: w,
 					}); err != nil {
 						b.Fatal(err)
@@ -209,4 +209,15 @@ func runHotpaths(outPath string, log *os.File) error {
 	}
 	logf("wrote %s\n", outPath)
 	return nil
+}
+
+// uniformBeliefs returns a flat n×corpus.NumTags belief matrix with every
+// row uniform — the seed of vertices no posterior reached, and the start
+// state of the propagation benchmarks.
+func uniformBeliefs(n int) []float64 {
+	X := make([]float64, n*corpus.NumTags)
+	for i := range X {
+		X[i] = 1.0 / corpus.NumTags
+	}
+	return X
 }

@@ -157,14 +157,14 @@ func runShard(outPath string, log *os.File) error {
 	propCfg := func(workers, lossEvery int) propagate.Config {
 		return propagate.Config{Mu: 1e-6, Nu: 1e-6, Iterations: 4, Workers: workers, LossEvery: lossEvery}
 	}
-	runOnce := func(sg *graph.ShardedGraph, s int, cfg propagate.Config) ([][]float64, propagate.Result, error) {
-		X := make([][]float64, want.NumVertices())
+	runOnce := func(sg *graph.ShardedGraph, s int, cfg propagate.Config) ([]float64, propagate.Result, error) {
+		X := uniformBeliefs(want.NumVertices())
 		var res propagate.Result
 		var err error
 		if s > 1 {
-			res, err = propagate.RunSharded(sg, X, xref, labelled, cfg)
+			res, err = propagate.RunShardedFlat(sg, X, xref, labelled, cfg)
 		} else {
-			res, err = propagate.Run(want, X, xref, labelled, cfg)
+			res, err = propagate.RunFlat(want, X, xref, labelled, cfg)
 		}
 		return X, res, err
 	}
@@ -190,7 +190,7 @@ func runShard(outPath string, log *os.File) error {
 			for _, sched := range []struct {
 				suffix    string
 				lossEvery int
-				wx        [][]float64
+				wx        []float64
 				wres      propagate.Result
 				baseline  float64
 			}{
@@ -241,18 +241,13 @@ func runShard(outPath string, log *os.File) error {
 // sameBeliefs checks bit-identity of converged beliefs, the loss
 // trajectory, and the final max delta between a sharded run and the
 // single-index reference.
-func sameBeliefs(gotX, wantX [][]float64, got, want propagate.Result) error {
+func sameBeliefs(gotX, wantX []float64, got, want propagate.Result) error {
 	if len(gotX) != len(wantX) {
 		return fmt.Errorf("belief count mismatch: %d vs %d", len(gotX), len(wantX))
 	}
-	for v := range wantX {
-		if len(gotX[v]) != len(wantX[v]) {
-			return fmt.Errorf("vertex %d: row length mismatch", v)
-		}
-		for y, x := range wantX[v] {
-			if gotX[v][y] != x { // lint:checked bit-identity is the contract; exact compare intended
-				return fmt.Errorf("vertex %d tag %d: beliefs differ: %v vs %v", v, y, gotX[v][y], x)
-			}
+	for i, x := range wantX {
+		if gotX[i] != x { // lint:checked bit-identity is the contract; exact compare intended
+			return fmt.Errorf("vertex %d tag %d: beliefs differ: %v vs %v", i/corpus.NumTags, i%corpus.NumTags, gotX[i], x)
 		}
 	}
 	if got.MaxDelta != want.MaxDelta { // lint:checked bit-identity is the contract; exact compare intended

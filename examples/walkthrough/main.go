@@ -106,7 +106,7 @@ func main() {
 		}
 		tri := corpus.Trigram(words, idx)
 		if vi := g.Lookup(tri); vi >= 0 {
-			x := out.VertexBeliefs[vi]
+			x := out.VertexBeliefs[vi*corpus.NumTags : (vi+1)*corpus.NumTags]
 			fmt.Printf("  after propagation X%v = (B=%.2f, I=%.2f, O=%.2f)\n", tri, x[B], x[I], x[O])
 		}
 	}

@@ -522,26 +522,24 @@ func (m *Model) Decode(in *Instance) []corpus.Tag {
 	return tags
 }
 
-// DecodeWithPotentials runs Viterbi over externally supplied per-position
-// tag probability distributions (node potentials) and a tag-level
-// transition probability matrix — exactly the final step of GraphNER's
+// DecodeWithPotentialsT runs Viterbi over externally supplied
+// per-position tag probability distributions (node potentials) and a
+// tag-level transition probability matrix — the final step of GraphNER's
 // Algorithm 1, where potentials are the α-mixture of CRF posteriors and
 // propagated graph beliefs. Probabilities are combined in log space; zero
-// probabilities are floored to keep the lattice connected. If bio is true,
-// O→I transitions and an initial I are forbidden. It is equivalent to
-// DecodeWithPotentialsT with transition temperature 1.
-func DecodeWithPotentials(potentials [][]float64, trans [][]float64, bio bool) ([]corpus.Tag, error) {
-	return DecodeWithPotentialsT(potentials, trans, bio, 1)
-}
-
-// DecodeWithPotentialsT is DecodeWithPotentials with the transition
-// log-probabilities scaled by power (0 < power ≤ 1). The node potentials
-// handed to GraphNER's final Viterbi are posterior marginals, which
-// already reflect the chain's transition structure; applying the
-// transition matrix at full strength therefore double-counts it and
-// suppresses confident single-token mentions. A power below 1 tempers the
-// transitions; GraphNER selects it by cross-validation alongside the
-// paper's other hyper-parameters.
+// probabilities are floored to keep the lattice connected. If bio is
+// true, O→I transitions and an initial I are forbidden. Zero positions
+// decode to nil tags.
+//
+// The transition log-probabilities are scaled by power (0 < power ≤ 1).
+// The node potentials handed to GraphNER's final Viterbi are posterior
+// marginals, which already reflect the chain's transition structure;
+// applying the transition matrix at full strength therefore double-counts
+// it and suppresses confident single-token mentions. A power below 1
+// tempers the transitions; GraphNER selects it by cross-validation
+// alongside the paper's other hyper-parameters. PotentialDecoder.DecodeFlat
+// is the flat, allocation-free form the pipeline runs; this nested form is
+// its reference.
 func DecodeWithPotentialsT(potentials [][]float64, trans [][]float64, bio bool, power float64) ([]corpus.Tag, error) {
 	n := len(potentials)
 	if n == 0 {

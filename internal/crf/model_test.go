@@ -279,7 +279,7 @@ func TestDecodeWithPotentials(t *testing.T) {
 		{0.9, 0.05, 0.05},
 	}
 	uni := [][]float64{{1. / 3, 1. / 3, 1. / 3}, {1. / 3, 1. / 3, 1. / 3}, {1. / 3, 1. / 3, 1. / 3}}
-	tags, err := DecodeWithPotentials(pot, uni, true)
+	tags, err := DecodeWithPotentialsT(pot, uni, true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestDecodeWithPotentialsBIO(t *testing.T) {
 		{0.0, 0.9, 0.1},
 	}
 	uni := [][]float64{{1. / 3, 1. / 3, 1. / 3}, {1. / 3, 1. / 3, 1. / 3}, {1. / 3, 1. / 3, 1. / 3}}
-	tags, err := DecodeWithPotentials(pot, uni, true)
+	tags, err := DecodeWithPotentialsT(pot, uni, true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,13 +317,13 @@ func TestDecodeWithPotentialsBIO(t *testing.T) {
 }
 
 func TestDecodeWithPotentialsErrors(t *testing.T) {
-	if _, err := DecodeWithPotentials([][]float64{{0.5, 0.5}}, nil, false); err == nil {
+	if _, err := DecodeWithPotentialsT([][]float64{{0.5, 0.5}}, nil, false, 1); err == nil {
 		t.Error("want error for short row")
 	}
-	if _, err := DecodeWithPotentials([][]float64{{0.3, 0.3, 0.4}}, [][]float64{{1, 0, 0}}, false); err == nil {
+	if _, err := DecodeWithPotentialsT([][]float64{{0.3, 0.3, 0.4}}, [][]float64{{1, 0, 0}}, false, 1); err == nil {
 		t.Error("want error for bad transition matrix")
 	}
-	tags, err := DecodeWithPotentials(nil, nil, false)
+	tags, err := DecodeWithPotentialsT(nil, nil, false, 1)
 	if err != nil || tags != nil {
 		t.Error("empty input should be a no-op")
 	}
@@ -333,7 +333,7 @@ func TestDecodeWithPotentialsZeroRows(t *testing.T) {
 	// All-zero potential rows must not break the decoder (floored).
 	pot := [][]float64{{0, 0, 0}, {0, 0, 0}}
 	uni := [][]float64{{1. / 3, 1. / 3, 1. / 3}, {1. / 3, 1. / 3, 1. / 3}, {1. / 3, 1. / 3, 1. / 3}}
-	tags, err := DecodeWithPotentials(pot, uni, true)
+	tags, err := DecodeWithPotentialsT(pot, uni, true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

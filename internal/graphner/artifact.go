@@ -8,11 +8,14 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"sort"
 
 	"repro/internal/corpus"
 	"repro/internal/crf"
 	"repro/internal/features"
 	"repro/internal/graph"
+	"repro/internal/tokenize"
 )
 
 // Artifact is the frozen, shareable serving bundle: everything a
@@ -44,7 +47,7 @@ type Artifact struct {
 // Artifact header constants. The magic is 8 bytes so the header stays
 // 8-byte aligned: magic, version+reserved, payload length, checksum.
 const (
-	artifactMagic   = "GNERARTF"
+	artifactMagic = "GNERARTF"
 	// Version history: 1 — initial layout; 2 — graph-mode and LSH
 	// configuration appended to the config section.
 	artifactVersion = 2
@@ -62,7 +65,8 @@ const artifactHeaderSize = 8 + 4 + 4 + 8 + sha256.Size
 // a full edge sweep and nothing on the serving path reads it; an explicit
 // positive schedule is honoured. The loss schedule never changes labels
 // or beliefs, so the frozen artifact serves tags bit-identical to
-// System.Test either way.
+// System.Test either way. The artifact shares out's graph and belief
+// matrix rather than copying them; neither may be modified afterwards.
 func (s *System) Freeze(frozen *corpus.Corpus, out *Output) (*Artifact, error) {
 	if len(frozen.Sentences) == 0 {
 		return nil, fmt.Errorf("graphner: freeze: empty frozen corpus")
@@ -83,21 +87,8 @@ func (s *System) Freeze(frozen *corpus.Corpus, out *Output) (*Artifact, error) {
 		return nil, fmt.Errorf("graphner: freeze: output carries no graph")
 	}
 	n := out.Graph.NumVertices()
-	if len(out.VertexBeliefs) != n {
-		return nil, fmt.Errorf("graphner: freeze: %d belief rows for %d vertices", len(out.VertexBeliefs), n)
-	}
-	const Y = corpus.NumTags
-	beliefs := make([]float64, n*Y)
-	for v, row := range out.VertexBeliefs {
-		if row == nil {
-			// Vertices propagation never materialized stay uniform, the
-			// same default propagate.Run applies.
-			for y := 0; y < Y; y++ {
-				beliefs[v*Y+y] = 1.0 / Y
-			}
-			continue
-		}
-		copy(beliefs[v*Y:(v+1)*Y], row)
+	if len(out.VertexBeliefs) != n*corpus.NumTags {
+		return nil, fmt.Errorf("graphner: freeze: %d belief entries for %d vertices × %d tags", len(out.VertexBeliefs), n, corpus.NumTags)
 	}
 	cfg := s.cfg
 	cfg.Workers = 0
@@ -113,7 +104,7 @@ func (s *System) Freeze(frozen *corpus.Corpus, out *Output) (*Artifact, error) {
 		train:   s.train,
 		frozen:  frozen.StripLabels(),
 		graph:   out.Graph.EnsureCSR(),
-		beliefs: beliefs,
+		beliefs: out.VertexBeliefs,
 	}, nil
 }
 
@@ -242,8 +233,8 @@ func ReadArtifact(r io.Reader) (*Artifact, error) {
 	if plen > maxPayload {
 		return nil, fmt.Errorf("graphner: artifact: implausible payload length %d", plen)
 	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r, plen)
+	if err != nil {
 		return nil, fmt.Errorf("graphner: artifact: truncated payload (header promises %d bytes): %w", plen, err)
 	}
 	sum := sha256.Sum256(payload)
@@ -255,6 +246,72 @@ func ReadArtifact(r io.Reader) (*Artifact, error) {
 		return nil, fmt.Errorf("graphner: artifact: %w", err)
 	}
 	return a, nil
+}
+
+// xrefEntry is one reference distribution in the canonical sorted order
+// the payload stores them in.
+type xrefEntry struct {
+	G corpus.NGram
+	D []float64
+}
+
+// savedSentence is the stored form of a corpus sentence: its text is
+// re-tokenized on load.
+type savedSentence struct {
+	ID   string
+	Text string
+	Tags []corpus.Tag
+}
+
+// sortedXref flattens a reference-distribution map into a slice sorted by
+// 3-gram — map iteration order is randomized, so the sort is what makes
+// the encoding byte-deterministic.
+func sortedXref(m map[corpus.NGram][]float64) []xrefEntry {
+	out := make([]xrefEntry, 0, len(m))
+	for g, d := range m {
+		out = append(out, xrefEntry{G: g, D: d})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].G < out[j].G })
+	return out
+}
+
+// restoreCorpus re-tokenizes a saved sentence list, validating that
+// stored tag sequences are BIO tags aligned with the tokenization.
+func restoreCorpus(saved []savedSentence) (*corpus.Corpus, error) {
+	c := corpus.New()
+	for _, sv := range saved {
+		sent := &corpus.Sentence{ID: sv.ID, Text: sv.Text, Tokens: tokenize.Sentence(sv.Text), Tags: sv.Tags}
+		if sv.Tags != nil && len(sv.Tags) != len(sent.Tokens) {
+			return nil, fmt.Errorf("sentence %q has %d tags for %d tokens", sv.ID, len(sv.Tags), len(sent.Tokens))
+		}
+		for _, t := range sv.Tags {
+			if int(t) >= corpus.NumTags {
+				return nil, fmt.Errorf("sentence %q has tag %d outside the %d-tag alphabet", sv.ID, t, corpus.NumTags)
+			}
+		}
+		c.Sentences = append(c.Sentences, sent)
+	}
+	return c, nil
+}
+
+// readPayload reads exactly n payload bytes. The length comes from the
+// unverified header, so the buffer grows with the bytes that actually
+// arrive — doubling from 64 KiB, capped at n — instead of being reserved
+// up front: a tiny file that promises a huge payload fails as truncated
+// rather than exhausting memory first.
+func readPayload(r io.Reader, n uint64) ([]byte, error) {
+	buf := make([]byte, 0, min(n, 64<<10))
+	for uint64(len(buf)) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, int(min(n-uint64(len(buf)), uint64(len(buf)))))
+		}
+		m, err := io.ReadFull(r, buf[len(buf):min(uint64(cap(buf)), n)])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // ---- payload encoding ----
@@ -552,8 +609,12 @@ func (a *Artifact) decodePayload(payload []byte) error {
 	if b.err != nil {
 		return b.err
 	}
-	if m.S <= 0 || m.NumFeatures < 0 {
-		return fmt.Errorf("model has invalid shape (S=%d, features=%d)", m.S, m.NumFeatures)
+	wantS := corpus.NumTags
+	if m.Order == crf.Order2 {
+		wantS *= corpus.NumTags
+	}
+	if (m.Order != crf.Order1 && m.Order != crf.Order2) || m.S != wantS || m.NumFeatures < 0 {
+		return fmt.Errorf("model has invalid shape (order %d, S=%d, features=%d)", m.Order, m.S, m.NumFeatures)
 	}
 	if len(m.W) != m.NumFeatures*m.S {
 		return fmt.Errorf("model has %d emission weights for %d features × %d states", len(m.W), m.NumFeatures, m.S)
@@ -630,6 +691,9 @@ func (a *Artifact) decodePayload(payload []byte) error {
 	// CSR validation and Neighbors reconstruction.
 	if len(g.EdgeOffsets) != nv+1 {
 		return fmt.Errorf("graph has %d edge offsets for %d vertices", len(g.EdgeOffsets), nv)
+	}
+	if g.EdgeOffsets[0] != 0 {
+		return fmt.Errorf("graph offsets start at %d, not 0", g.EdgeOffsets[0])
 	}
 	if len(g.EdgeTo) != len(g.EdgeWeight) {
 		return fmt.Errorf("graph has %d edge targets but %d edge weights", len(g.EdgeTo), len(g.EdgeWeight))

@@ -12,11 +12,13 @@ import (
 	"repro/internal/propagate"
 )
 
-// referenceTest is a verbatim copy of the seed TEST procedure, which
-// re-compiled every sentence in each pass (graph construction, posterior
-// extraction, baseline decoding). The golden test below runs it against
-// the instance-cached pipeline and demands bit-identical output: caching
-// compiled instances must be a pure optimization.
+// referenceTest is the seed TEST procedure: it re-compiles every sentence
+// in each pass (graph construction, posterior extraction, baseline
+// decoding), seeds nested belief rows with AveragePosteriors, and mixes
+// and decodes per-token rows with DecodeWithPotentialsT; only propagation
+// runs on the production kernel, RunFlat. The golden test below runs it
+// against the instance-cached pipeline with its flat combine+decode tail
+// and demands bit-identical output: both must be pure optimizations.
 func referenceTest(s *System, test *corpus.Corpus) (*Output, error) {
 	g, err := s.BuildGraph(test)
 	if err != nil {
@@ -46,7 +48,20 @@ func referenceTest(s *System, test *corpus.Corpus) (*Output, error) {
 		}
 	}
 
-	prop, err := propagate.Run(g, X, xref, labelled, propagate.Config{
+	// Flatten X for the propagation kernel; vertices no posterior reached
+	// start uniform.
+	const Y = corpus.NumTags
+	flat := make([]float64, len(X)*Y)
+	for v, row := range X {
+		for y := 0; y < Y; y++ {
+			if row == nil {
+				flat[v*Y+y] = 1.0 / Y
+			} else {
+				flat[v*Y+y] = row[y]
+			}
+		}
+	}
+	prop, err := propagate.RunFlat(g, flat, xref, labelled, propagate.Config{
 		Mu:         s.cfg.Mu,
 		Nu:         s.cfg.Nu,
 		Iterations: s.cfg.Iterations,
@@ -60,7 +75,7 @@ func referenceTest(s *System, test *corpus.Corpus) (*Output, error) {
 	out := &Output{
 		Graph:         g,
 		Propagation:   prop,
-		VertexBeliefs: X,
+		VertexBeliefs: flat,
 		Tags:          make([][]corpus.Tag, len(test.Sentences)),
 	}
 	if n := g.NumVertices(); n > 0 {
@@ -79,7 +94,7 @@ func referenceTest(s *System, test *corpus.Corpus) (*Output, error) {
 			row := make([]float64, corpus.NumTags)
 			var gb []float64
 			if vi := g.Lookup(corpus.Trigram(words, j)); vi >= 0 {
-				gb = X[vi]
+				gb = flat[vi*Y : (vi+1)*Y]
 			}
 			for y := 0; y < corpus.NumTags; y++ {
 				if gb != nil {
@@ -170,12 +185,10 @@ func TestCachedPipelineMatchesSeed(t *testing.T) {
 			if len(got.VertexBeliefs) != len(want.VertexBeliefs) {
 				t.Fatalf("%d vertex beliefs, want %d", len(got.VertexBeliefs), len(want.VertexBeliefs))
 			}
-			for v := range want.VertexBeliefs {
-				for y := range want.VertexBeliefs[v] {
-					if got.VertexBeliefs[v][y] != want.VertexBeliefs[v][y] {
-						t.Fatalf("VertexBeliefs[%d][%d] = %v, seed %v",
-							v, y, got.VertexBeliefs[v][y], want.VertexBeliefs[v][y])
-					}
+			for i := range want.VertexBeliefs {
+				if got.VertexBeliefs[i] != want.VertexBeliefs[i] {
+					t.Fatalf("VertexBeliefs[%d][%d] = %v, seed %v", i/corpus.NumTags, i%corpus.NumTags,
+						got.VertexBeliefs[i], want.VertexBeliefs[i])
 				}
 			}
 

@@ -20,7 +20,6 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/analysis/assert"
 	"repro/internal/corpus"
 	"repro/internal/crf"
 	"repro/internal/features"
@@ -286,11 +285,14 @@ func (s *System) compileCorpus(c *corpus.Corpus) []*crf.Instance {
 	return ins
 }
 
-// posteriorsOf runs the CRF forward-backward over compiled instances.
-func (s *System) posteriorsOf(ins []*crf.Instance) [][][]float64 {
-	out := make([][][]float64, len(ins))
+// posteriorsOf runs the CRF forward-backward over compiled instances,
+// one flat row-major Len()×corpus.NumTags matrix per sentence.
+func (s *System) posteriorsOf(ins []*crf.Instance) [][]float64 {
+	out := make([][]float64, len(ins))
 	s.parallel(len(ins), func(i int) {
-		out[i] = s.model.Posteriors(ins[i])
+		p := make([]float64, ins[i].Len()*corpus.NumTags)
+		_ = s.model.PosteriorsInto(ins[i], p) // lint:checked errdrop: the only failure is a short buffer, and p is sized to the instance
+		out[i] = p
 	})
 	return out
 }
@@ -306,9 +308,15 @@ func (s *System) BaselineTags(test *corpus.Corpus) [][]corpus.Tag {
 	return out
 }
 
-// Posteriors runs the CRF forward-backward over a corpus, in parallel.
+// Posteriors runs the CRF forward-backward over a corpus, in parallel:
+// out[s][i][y] is sentence s's probability of tag y at token i.
 func (s *System) Posteriors(c *corpus.Corpus) [][][]float64 {
-	return s.posteriorsOf(s.compileCorpus(c))
+	ins := s.compileCorpus(c)
+	out := make([][][]float64, len(ins))
+	s.parallel(len(ins), func(i int) {
+		out[i] = s.model.Posteriors(ins[i])
+	})
+	return out
 }
 
 // BuildGraph constructs the 3-gram similarity graph over the union of the
@@ -390,9 +398,11 @@ type Output struct {
 	BaselineTags [][]corpus.Tag
 	// Graph is the similarity graph that was used.
 	Graph *graph.Graph
-	// VertexBeliefs holds the propagated label distribution X per graph
-	// vertex (after Algorithm 1 line 7).
-	VertexBeliefs [][]float64
+	// VertexBeliefs holds the propagated label distributions X (after
+	// Algorithm 1 line 7) as a flat row-major matrix indexed like
+	// Graph.Vertices: vertex v's row is
+	// VertexBeliefs[v*corpus.NumTags : (v+1)*corpus.NumTags].
+	VertexBeliefs []float64
 	// Propagation reports the propagation sweep diagnostics.
 	Propagation propagate.Result
 	// LabelledVertexFraction and PositiveVertexFraction are the graph
@@ -446,27 +456,20 @@ func (s *System) TestWithGraph(test *corpus.Corpus, g *graph.Graph) (*Output, er
 // testOnUnion is the shared TEST implementation over an assembled union
 // corpus and its compiled instances (parallel to union.Sentences).
 func (s *System) testOnUnion(test, union *corpus.Corpus, ins []*crf.Instance, g *graph.Graph) (*Output, error) {
-	// Line 5: CRF posteriors over D_l ∪ D_u and transition probabilities.
+	// Line 5: CRF posteriors over D_l ∪ D_u; the decoder carries the
+	// tempered gold transition probabilities.
 	posteriors := s.posteriorsOf(ins)
-	trans := GoldTransitions(s.train)
-
-	// Line 6: average posteriors per unique 3-gram.
-	X := AveragePosteriors(g, union, posteriors)
-
-	// References and labelled mask on graph vertices.
-	xref := make([][]float64, g.NumVertices())
-	labelled := make([]bool, g.NumVertices())
-	nLabelled, nPositive := 0, 0
-	for v, ng := range g.Vertices {
-		if d, ok := s.xref[ng]; ok {
-			xref[v] = d
-			labelled[v] = true
-			nLabelled++
-			if d[corpus.B]+d[corpus.I] > 0 {
-				nPositive++
-			}
-		}
+	dec, err := crf.NewPotentialDecoder(GoldTransitions(s.train), s.model.BIO, s.cfg.TransitionPower)
+	if err != nil {
+		return nil, fmt.Errorf("graphner: decoding: %w", err)
 	}
+
+	// Line 6: seed X with the average posterior per unique 3-gram, and
+	// attach references on the vertices of the labelled data.
+	var b beliefState
+	b.grow(g.NumVertices())
+	b.accumulate(g, union, posteriors)
+	b.seed(g, s.xref, 0)
 
 	// Line 7: propagate. With Shards > 1 the sweep runs the SPMD kernel
 	// over the per-shard layout; beliefs are bit-identical either way.
@@ -478,71 +481,45 @@ func (s *System) testOnUnion(test, union *corpus.Corpus, ins []*crf.Instance, g 
 		LossEvery:  s.cfg.LossEvery,
 	}
 	var prop propagate.Result
-	var err error
 	if s.cfg.Shards > 1 {
 		var sg *graph.ShardedGraph
 		sg, err = graph.ShardGraph(g, s.cfg.Shards)
 		if err == nil {
-			prop, err = propagate.RunSharded(sg, X, xref, labelled, pcfg)
+			prop, err = propagate.RunShardedFlat(sg, b.X, b.xref, b.labelled, pcfg)
 		}
 	} else {
-		prop, err = propagate.Run(g, X, xref, labelled, pcfg)
+		prop, err = propagate.RunFlat(g, b.X, b.xref, b.labelled, pcfg)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("graphner: propagation: %w", err)
+	}
+
+	out := &Output{
+		Graph:         g,
+		Propagation:   prop,
+		VertexBeliefs: b.X,
+		Tags:          make([][]corpus.Tag, len(test.Sentences)),
+	}
+	if n := g.NumVertices(); n > 0 {
+		nLabelled, nPositive := 0, 0
+		for v, d := range b.xref {
+			if b.labelled[v] {
+				nLabelled++
+				if d[corpus.B]+d[corpus.I] > 0 {
+					nPositive++
+				}
+			}
+		}
+		out.LabelledVertexFraction = float64(nLabelled) / float64(n)
+		out.PositiveVertexFraction = float64(nPositive) / float64(n)
 	}
 
 	// Lines 8-9 on the test sentences: combine and re-decode. The union
 	// corpus lists training sentences first, so test sentence i is
 	// union.Sentences[len(train)+i] with posteriors aligned the same way.
 	offset := len(s.train.Sentences)
-	out := &Output{
-		Graph:         g,
-		Propagation:   prop,
-		VertexBeliefs: X,
-		Tags:          make([][]corpus.Tag, len(test.Sentences)),
-	}
-	if n := g.NumVertices(); n > 0 {
-		out.LabelledVertexFraction = float64(nLabelled) / float64(n)
-		out.PositiveVertexFraction = float64(nPositive) / float64(n)
-	}
-
-	var decodeErr error
-	var mu sync.Mutex
-	s.parallel(len(test.Sentences), func(i int) {
-		sent := test.Sentences[i]
-		words := sent.Words()
-		ps := posteriors[offset+i]
-		combined := make([][]float64, len(words))
-		for j := range words {
-			row := make([]float64, corpus.NumTags)
-			var gb []float64
-			if vi := g.Lookup(corpus.Trigram(words, j)); vi >= 0 {
-				gb = X[vi]
-			}
-			for y := 0; y < corpus.NumTags; y++ {
-				if gb != nil {
-					row[y] = s.cfg.Alpha*ps[j][y] + (1-s.cfg.Alpha)*gb[y]
-				} else {
-					row[y] = ps[j][y]
-				}
-			}
-			combined[j] = row
-		}
-		if assert.Enabled {
-			assert.NoNaNRows(combined, "combined potentials P'_s")
-		}
-		tags, err := crf.DecodeWithPotentialsT(combined, trans, s.model.BIO, s.cfg.TransitionPower)
-		if err != nil {
-			mu.Lock()
-			decodeErr = err
-			mu.Unlock()
-			return
-		}
-		out.Tags[i] = tags
-	})
-	if decodeErr != nil {
-		return nil, fmt.Errorf("graphner: decoding: %w", decodeErr)
+	if err := s.relabel(dec, g, b.X, test.Sentences, posteriors[offset:], nil, out.Tags); err != nil {
+		return nil, fmt.Errorf("graphner: decoding: %w", err)
 	}
 
 	// Baseline decode reuses the cached union instances: features depend
@@ -554,9 +531,12 @@ func (s *System) testOnUnion(test, union *corpus.Corpus, ins []*crf.Instance, g 
 	return out, nil
 }
 
-// AveragePosteriors computes X (Algorithm 1 line 6): the average of the
-// CRF's per-token posteriors over all occurrences of each graph vertex.
-// Vertices never observed stay nil (materialized as uniform by propagate).
+// AveragePosteriors computes X (Algorithm 1 line 6) over nested
+// posteriors: the average of the CRF's per-token posteriors over all
+// occurrences of each graph vertex. Vertices never observed stay nil
+// (propagation starts them uniform). TEST seeds its flat belief matrix
+// with the same arithmetic; this form is the readable reference the
+// golden tests compare against.
 func AveragePosteriors(g *graph.Graph, c *corpus.Corpus, posteriors [][][]float64) [][]float64 {
 	X := make([][]float64, g.NumVertices())
 	counts := make([]float64, g.NumVertices())

@@ -3,7 +3,6 @@ package graphner
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/analysis/assert"
 	"repro/internal/corpus"
@@ -34,23 +33,18 @@ type Streamer struct {
 	test *corpus.Corpus
 
 	updater *graph.Updater
-	trans   [][]float64
+	dec     *crf.PotentialDecoder
 
-	// Flat propagation state, indexed like the graph's vertices.
-	X        []float64
-	xref     [][]float64
-	labelled []bool
+	// Flat propagation state, indexed like the graph's vertices. The
+	// posterior sums and counts span every corpus seen so far; a vertex
+	// first observed in batch b is seeded with its average posterior,
+	// exactly as Algorithm 1 line 6 seeds the batch build.
+	beliefState
 
-	// Per-vertex CRF posterior sums and occurrence counts across every
-	// corpus seen so far; a vertex first observed in batch b is seeded
-	// with its average posterior, exactly as Algorithm 1 line 6 seeds
-	// the batch build.
-	postSum []float64
-	postCnt []float64
-
-	// Cached per-test-sentence CRF posteriors (the P_s of line 8) and the
-	// inverted index vertex → test sentences, for selective re-decoding.
-	testPost  [][][]float64
+	// Cached flat per-test-sentence CRF posteriors (the P_s of line 8)
+	// and the inverted index vertex → test sentences, for selective
+	// re-decoding.
+	testPost  [][]float64
 	vertSents [][]int32
 
 	tags     [][]corpus.Tag
@@ -77,6 +71,10 @@ func NewStreamer(sys *System, test *corpus.Corpus) (*Streamer, error) {
 	}
 	union := sys.union(test, nil)
 	ins := sys.compileCorpus(union)
+	dec, err := crf.NewPotentialDecoder(GoldTransitions(sys.train), sys.model.BIO, sys.cfg.TransitionPower)
+	if err != nil {
+		return nil, fmt.Errorf("graphner: streaming decode: %w", err)
+	}
 	upd, err := graph.NewUpdater(union, sys.builderConfig(union, ins))
 	if err != nil {
 		return nil, fmt.Errorf("graphner: streaming graph: %w", err)
@@ -85,24 +83,14 @@ func NewStreamer(sys *System, test *corpus.Corpus) (*Streamer, error) {
 		sys:     sys,
 		test:    test,
 		updater: upd,
-		trans:   GoldTransitions(sys.train),
+		dec:     dec,
 	}
 	g := upd.Graph()
 	n := g.NumVertices()
-	const Y = corpus.NumTags
-	st.postSum = make([]float64, n*Y)
-	st.postCnt = make([]float64, n)
 	posteriors := sys.posteriorsOf(ins)
-	st.accumulate(union, posteriors, 0)
-
-	// Seed X with average posteriors (uniform where never observed) and
-	// attach references on vertices of the labelled data.
-	st.X = make([]float64, n*Y)
-	st.xref = make([][]float64, n)
-	st.labelled = make([]bool, n)
-	for v := 0; v < n; v++ {
-		st.seedRow(v)
-	}
+	st.grow(n)
+	st.accumulate(g, union, posteriors)
+	st.seed(g, sys.xref, 0)
 
 	if _, err := propagate.RunFlat(g, st.X, st.xref, st.labelled, st.propConfig()); err != nil {
 		return nil, fmt.Errorf("graphner: propagation: %w", err)
@@ -126,11 +114,7 @@ func NewStreamer(sys *System, test *corpus.Corpus) (*Streamer, error) {
 	}
 
 	st.tags = make([][]corpus.Tag, len(test.Sentences))
-	all := make([]int, len(test.Sentences))
-	for i := range all {
-		all[i] = i
-	}
-	if err := st.decode(all); err != nil {
+	if err := st.decode(nil); err != nil {
 		return nil, err
 	}
 	st.baseline = make([][]corpus.Tag, len(test.Sentences))
@@ -162,19 +146,12 @@ func (st *Streamer) AddUnlabelled(batch *corpus.Corpus) (StreamResult, error) {
 	}
 	res.Update = upd
 	n := g.NumVertices()
-	const Y = corpus.NumTags
 
 	// Grow the flat state for appended vertices and seed their rows.
-	st.postSum = append(st.postSum, make([]float64, (n-oldN)*Y)...)
-	st.postCnt = append(st.postCnt, make([]float64, n-oldN)...)
-	st.X = append(st.X, make([]float64, (n-oldN)*Y)...)
-	st.xref = append(st.xref, make([][]float64, n-oldN)...)
-	st.labelled = append(st.labelled, make([]bool, n-oldN)...)
+	st.grow(n)
 	st.vertSents = append(st.vertSents, make([][]int32, n-oldN)...)
-	st.accumulate(stripped, posteriors, 0)
-	for v := oldN; v < n; v++ {
-		st.seedRow(v)
-	}
+	st.accumulate(g, stripped, posteriors)
+	st.seed(g, sys.xref, oldN)
 	if assert.Enabled {
 		assert.NoNaN(st.X, "streaming beliefs after seeding")
 	}
@@ -222,92 +199,11 @@ func (st *Streamer) propConfig() propagate.Config {
 	}
 }
 
-// accumulate folds per-token CRF posteriors into the per-vertex sums.
-// posteriors[i-drop] must correspond to c.Sentences[i] for i ≥ drop.
-func (st *Streamer) accumulate(c *corpus.Corpus, posteriors [][][]float64, drop int) {
-	const Y = corpus.NumTags
-	g := st.updater.Graph()
-	for si := drop; si < len(c.Sentences); si++ {
-		words := c.Sentences[si].Words()
-		ps := posteriors[si-drop]
-		for i := range words {
-			vi := g.Lookup(corpus.Trigram(words, i))
-			if vi < 0 {
-				continue
-			}
-			row := vi * Y
-			for y := 0; y < Y; y++ {
-				st.postSum[row+y] += ps[i][y]
-			}
-			st.postCnt[vi]++
-		}
-	}
-}
-
-// seedRow initializes vertex v's belief row from its accumulated average
-// posterior (uniform if never observed) and attaches its reference
-// distribution when the 3-gram occurs in the labelled data.
-func (st *Streamer) seedRow(v int) {
-	const Y = corpus.NumTags
-	row := v * Y
-	if c := st.postCnt[v]; c > 0 {
-		for y := 0; y < Y; y++ {
-			st.X[row+y] = st.postSum[row+y] / c
-		}
-	} else {
-		for y := 0; y < Y; y++ {
-			st.X[row+y] = 1.0 / Y
-		}
-	}
-	if d, ok := st.sys.xref[st.updater.Graph().Vertices[v]]; ok {
-		st.xref[v] = d
-		st.labelled[v] = true
-	}
-}
-
 // decode recomputes the combined-potential Viterbi labels (Algorithm 1
-// lines 8-9) for the given test sentence indices.
+// lines 8-9) for the given test sentence indices (all of them when nil).
 func (st *Streamer) decode(sentences []int) error {
-	const Y = corpus.NumTags
-	sys := st.sys
-	g := st.updater.Graph()
-	var decodeErr error
-	var mu sync.Mutex
-	sys.parallel(len(sentences), func(k int) {
-		i := sentences[k]
-		sent := st.test.Sentences[i]
-		words := sent.Words()
-		ps := st.testPost[i]
-		combined := make([][]float64, len(words))
-		for j := range words {
-			row := make([]float64, Y)
-			gb := -1
-			if vi := g.Lookup(corpus.Trigram(words, j)); vi >= 0 {
-				gb = vi * Y
-			}
-			for y := 0; y < Y; y++ {
-				if gb >= 0 {
-					row[y] = sys.cfg.Alpha*ps[j][y] + (1-sys.cfg.Alpha)*st.X[gb+y]
-				} else {
-					row[y] = ps[j][y]
-				}
-			}
-			combined[j] = row
-		}
-		if assert.Enabled {
-			assert.NoNaNRows(combined, "streaming combined potentials P'_s")
-		}
-		tags, err := crf.DecodeWithPotentialsT(combined, st.trans, sys.model.BIO, sys.cfg.TransitionPower)
-		if err != nil {
-			mu.Lock()
-			decodeErr = err
-			mu.Unlock()
-			return
-		}
-		st.tags[i] = tags
-	})
-	if decodeErr != nil {
-		return fmt.Errorf("graphner: streaming decode: %w", decodeErr)
+	if err := st.sys.relabel(st.dec, st.updater.Graph(), st.X, st.test.Sentences, st.testPost, sentences, st.tags); err != nil {
+		return fmt.Errorf("graphner: streaming decode: %w", err)
 	}
 	return nil
 }

@@ -52,7 +52,7 @@ func TestConvergenceMonotoneDelta(t *testing.T) {
 	var deltas []float64
 	for _, iters := range []int{1, 3, 10, 30} {
 		X, xref, lab := mk()
-		res, err := Run(g, X, xref, lab, Config{Mu: 0.2, Nu: 0.05, Iterations: iters})
+		res, err := runRows(g, X, xref, lab, Config{Mu: 0.2, Nu: 0.05, Iterations: iters})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestPropagationPullsTowardLabelledRegions(t *testing.T) {
 	xref[0] = []float64{1, 0, 0}
 	xref[3] = []float64{0, 0, 1}
 
-	if _, err := Run(g, X, xref, lab, Config{Mu: 1, Nu: 0.01, Iterations: 10}); err != nil {
+	if _, err := runRows(g, X, xref, lab, Config{Mu: 1, Nu: 0.01, Iterations: 10}); err != nil {
 		t.Fatal(err)
 	}
 	for _, leaf := range []int{1, 2} {
@@ -126,7 +126,7 @@ func TestHigherNuFlattens(t *testing.T) {
 				xref[i] = []float64{1, 0, 0}
 			}
 		}
-		if _, err := Run(g, X, xref, lab, Config{Mu: 0.5, Nu: nu, Iterations: 50}); err != nil {
+		if _, err := runRows(g, X, xref, lab, Config{Mu: 0.5, Nu: nu, Iterations: 50}); err != nil {
 			t.Fatal(err)
 		}
 		// Average distance from uniform over unlabelled vertices.

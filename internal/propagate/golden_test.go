@@ -212,7 +212,7 @@ func TestRunMatchesSeedBitForBit(t *testing.T) {
 					cp.BuildCSR()
 					gRun = &cp
 				}
-				got, err := Run(gRun, gotX, xref, labelled, cfg)
+				got, err := runRows(gRun, gotX, xref, labelled, cfg)
 				if err != nil {
 					t.Fatalf("trial %d cfg %d: %v", trial, ci, err)
 				}
@@ -257,7 +257,7 @@ func TestRunWorkerCountInvariant(t *testing.T) {
 	for i, w := range []int{1, 2, 5, 16, 1000} {
 		cfg.Workers = w
 		Xw := deepCopy(X)
-		res, err := Run(g, Xw, xref, labelled, cfg)
+		res, err := runRows(g, Xw, xref, labelled, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,8 +9,9 @@
 // The hot path is allocation-free: beliefs live in one flat row-major
 // matrix (n × corpus.NumTags), the adjacency is walked in the graph's CSR
 // layout (graph.Graph.EdgeOffsets / EdgeTo / EdgeWeight), and the two
-// sweep buffers ping-pong instead of being copied. The slice-of-rows Run
-// entry point is a thin adapter over RunFlat kept for existing callers.
+// sweep buffers ping-pong instead of being copied. RunFlat is the entry
+// point; RunShardedFlat and RunWarmFlat run the same row kernel over a
+// sharded layout and from a warm start.
 package propagate
 
 import (
@@ -137,75 +138,13 @@ func csrOfLists(lists [][]graph.Edge, n int) adjacency {
 	return a
 }
 
-// Run performs propagation in place on X. X[v] is the current label
-// distribution of vertex v (length corpus.NumTags); xref[v] is its
-// reference distribution, consulted only where labelled[v] is true. All
-// three slices must be indexed like g.Vertices. Vertices whose X row is
-// nil are treated as uniform and materialized.
-//
-// Run is an adapter over RunFlat: it copies the rows into a flat working
-// matrix, runs the CSR kernel, and copies the result back into the
-// caller's rows, so callers holding [][]float64 beliefs are untouched by
-// the flat-layout refactor.
-func Run(g *graph.Graph, X, xref [][]float64, labelled []bool, cfg Config) (Result, error) {
-	n := g.NumVertices()
-	if len(X) != n || len(xref) != n || len(labelled) != n {
-		return Result{}, fmt.Errorf("propagate: slice lengths (%d,%d,%d) != vertex count %d",
-			len(X), len(xref), len(labelled), n)
-	}
-	if cfg.Iterations < 0 {
-		return Result{}, fmt.Errorf("propagate: negative iterations")
-	}
-	if cfg.Mu < 0 || cfg.Nu < 0 {
-		return Result{}, fmt.Errorf("propagate: negative hyper-parameter (mu=%g nu=%g)", cfg.Mu, cfg.Nu)
-	}
-	const Y = corpus.NumTags
-	uniform := 1.0 / Y
-
-	// Materialize nil rows out of one shared backing array (one
-	// allocation instead of one per vertex).
-	nilRows := 0
-	for v := range X {
-		if X[v] == nil {
-			nilRows++
-		}
-	}
-	if nilRows > 0 {
-		backing := make([]float64, nilRows*Y)
-		bi := 0
-		for v := range X {
-			if X[v] != nil {
-				continue
-			}
-			row := backing[bi : bi+Y : bi+Y]
-			for y := 0; y < Y; y++ {
-				row[y] = uniform
-			}
-			X[v] = row
-			bi += Y
-		}
-	}
-
-	flat := make([]float64, n*Y)
-	for v := range X {
-		copy(flat[v*Y:(v+1)*Y], X[v])
-	}
-	res, err := RunFlat(g, flat, xref, labelled, cfg)
-	if err != nil {
-		return res, err
-	}
-	for v := range X {
-		copy(X[v], flat[v*Y:(v+1)*Y])
-	}
-	return res, nil
-}
-
 // RunFlat performs propagation in place on the flat row-major belief
 // matrix X, where X[v*corpus.NumTags+y] is vertex v's probability of tag
-// y and len(X) must be g.NumVertices()·corpus.NumTags. xref and labelled
-// are as in Run. This is the allocation-free entry point: besides the
-// ping-pong sweep buffer and the loss history it allocates nothing per
-// sweep.
+// y and len(X) must be g.NumVertices()·corpus.NumTags. xref[v] is vertex
+// v's reference distribution, consulted only where labelled[v] is true;
+// both are indexed like g.Vertices. Callers seed rows of vertices with no
+// prior belief uniformly. Besides the ping-pong sweep buffer and the loss
+// history it allocates nothing per sweep.
 //
 //graphner:noalloc per-call setup is justified inline; TestSweepAllocGuard pins the sweep loop at zero
 func RunFlat(g *graph.Graph, X []float64, xref [][]float64, labelled []bool, cfg Config) (Result, error) {
@@ -447,56 +386,16 @@ func updateRow3(adj adjacency, cur []float64, xref [][]float64, labelled []bool,
 	return maxDelta
 }
 
-// Loss evaluates the Equation-1 objective:
+// lossFlat evaluates the Equation-1 objective over the flat belief matrix
+// and a CSR adjacency:
 //
 //	C(X) = Σ_{u∈V_l} ‖X(u)−X_ref(u)‖² + μ Σ_u Σ_{k∈N(u)} w_{u,k}‖X(u)−X(k)‖²
 //	       + ν Σ_u ‖X(u)−U‖²
 //
-// over slice-of-rows beliefs (nil rows are skipped, matching Run's
-// pre-materialization semantics).
-func Loss(g *graph.Graph, X, xref [][]float64, labelled []bool, cfg Config) float64 {
-	const Y = corpus.NumTags
-	uniform := 1.0 / Y
-	var c float64
-	neigh := g.Neighbors
-	if cfg.Symmetrize {
-		neigh = symmetrized(g)
-	}
-	for v := range X {
-		if X[v] == nil {
-			continue
-		}
-		if labelled[v] {
-			for y := 0; y < Y; y++ {
-				d := X[v][y] - xref[v][y]
-				c += d * d
-			}
-		}
-		if v < len(neigh) {
-			for _, e := range neigh[v] {
-				if X[e.To] == nil {
-					continue
-				}
-				var s float64
-				for y := 0; y < Y; y++ {
-					d := X[v][y] - X[e.To][y]
-					s += d * d
-				}
-				c += cfg.Mu * e.Weight * s
-			}
-		}
-		for y := 0; y < Y; y++ {
-			d := X[v][y] - uniform
-			c += cfg.Nu * d * d
-		}
-	}
-	return c
-}
-
-// lossFlat is Loss over the flat belief matrix and a CSR adjacency. The
-// accumulation order matches Loss term for term (sequential over vertices,
-// labelled → edges → uniform within each vertex), so losses reported by
-// RunFlat are bit-identical to the slice-of-rows implementation.
+// It accumulates sequentially over vertices (labelled → edges → uniform
+// within each vertex), the order of the seed's slice-of-rows loss, which
+// the golden test keeps as its oracle, so reported losses are bit-identical
+// to it and independent of the worker count.
 //
 //graphner:noalloc
 //graphner:nonblocking

@@ -36,13 +36,13 @@ func TestValidation(t *testing.T) {
 	X := make([][]float64, 3)
 	xref := make([][]float64, 3)
 	lab := make([]bool, 3)
-	if _, err := Run(g, X[:2], xref, lab, Config{}); err == nil {
+	if _, err := runRows(g, X[:2], xref, lab, Config{}); err == nil {
 		t.Error("want error for length mismatch")
 	}
-	if _, err := Run(g, X, xref, lab, Config{Iterations: -1}); err == nil {
+	if _, err := runRows(g, X, xref, lab, Config{Iterations: -1}); err == nil {
 		t.Error("want error for negative iterations")
 	}
-	if _, err := Run(g, X, xref, lab, Config{Mu: -1}); err == nil {
+	if _, err := runRows(g, X, xref, lab, Config{Mu: -1}); err == nil {
 		t.Error("want error for negative mu")
 	}
 }
@@ -52,7 +52,7 @@ func TestZeroIterationsIsNoOp(t *testing.T) {
 	X := [][]float64{dist(1, 0, 0), dist(0, 0, 1)}
 	xref := make([][]float64, 2)
 	lab := []bool{false, false}
-	res, err := Run(g, X, xref, lab, Config{Iterations: 0, Mu: 1, Nu: 1})
+	res, err := runRows(g, X, xref, lab, Config{Iterations: 0, Mu: 1, Nu: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestNilRowsBecomeUniform(t *testing.T) {
 	X := [][]float64{nil, nil}
 	xref := make([][]float64, 2)
 	lab := []bool{false, false}
-	if _, err := Run(g, X, xref, lab, Config{Iterations: 1, Nu: 1}); err != nil {
+	if _, err := runRows(g, X, xref, lab, Config{Iterations: 1, Nu: 1}); err != nil {
 		t.Fatal(err)
 	}
 	for v := range X {
@@ -90,7 +90,7 @@ func TestLabelledVertexPullsNeighbour(t *testing.T) {
 	X := [][]float64{dist(1.0/3, 1.0/3, 1.0/3), dist(1.0/3, 1.0/3, 1.0/3)}
 	xref := [][]float64{dist(1, 0, 0), nil}
 	lab := []bool{true, false}
-	_, err := Run(g, X, xref, lab, Config{Iterations: 20, Mu: 0.5, Nu: 0.01, Symmetrize: true})
+	_, err := runRows(g, X, xref, lab, Config{Iterations: 20, Mu: 0.5, Nu: 0.01, Symmetrize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestDistributionsStayNormalized(t *testing.T) {
 				xref[i] = randDist()
 			}
 		}
-		if _, err := Run(g, X, xref, lab, Config{Iterations: 3, Mu: rng.Float64(), Nu: rng.Float64()}); err != nil {
+		if _, err := runRows(g, X, xref, lab, Config{Iterations: 3, Mu: rng.Float64(), Nu: rng.Float64()}); err != nil {
 			return false
 		}
 		for i := 0; i < n; i++ {
@@ -183,7 +183,7 @@ func TestLossDecreasesMonotonically(t *testing.T) {
 			xref[i] = []float64{0, 1, 0}
 		}
 	}
-	res, err := Run(g, X, xref, lab, Config{Iterations: 10, Mu: 0.1, Nu: 0.05})
+	res, err := runRows(g, X, xref, lab, Config{Iterations: 10, Mu: 0.1, Nu: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestFixedPointSatisfiesUpdate(t *testing.T) {
 	lab := make([]bool, n)
 	lab[0] = true
 	xref[0] = dist(0.8, 0.1, 0.1)
-	res, err := Run(g, X, xref, lab, Config{Iterations: 200, Mu: 0.3, Nu: 0.1})
+	res, err := runRows(g, X, xref, lab, Config{Iterations: 200, Mu: 0.3, Nu: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestFixedPointSatisfiesUpdate(t *testing.T) {
 	for i := range X {
 		before[i] = append([]float64(nil), X[i]...)
 	}
-	if _, err := Run(g, X, xref, lab, Config{Iterations: 1, Mu: 0.3, Nu: 0.1}); err != nil {
+	if _, err := runRows(g, X, xref, lab, Config{Iterations: 1, Mu: 0.3, Nu: 0.1}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range X {
@@ -234,7 +234,7 @@ func TestIsolatedVertexWithZeroNu(t *testing.T) {
 	}
 	X := [][]float64{dist(0.7, 0.2, 0.1)}
 	xref := [][]float64{nil}
-	if _, err := Run(g, X, xref, []bool{false}, Config{Iterations: 3, Mu: 1, Nu: 0}); err != nil {
+	if _, err := runRows(g, X, xref, []bool{false}, Config{Iterations: 3, Mu: 1, Nu: 0}); err != nil {
 		t.Fatal(err)
 	}
 	if X[0][0] != 0.7 {
@@ -247,13 +247,16 @@ func TestLossComponents(t *testing.T) {
 	X := [][]float64{dist(1, 0, 0), dist(0, 1, 0)}
 	xref := [][]float64{dist(0, 0, 1), nil}
 	lab := []bool{true, false}
+	loss := func(mu float64) float64 {
+		return lossFlat(adjacencyOf(g, 2, false), flatRows(X), xref, lab, 2, mu, 0)
+	}
 	// mu=0, nu=0: only the labelled term: ‖(1,0,0)−(0,0,1)‖² = 2.
-	c := Loss(g, X, xref, lab, Config{})
+	c := loss(0)
 	if math.Abs(c-2) > 1e-12 {
 		t.Errorf("labelled-only loss = %g, want 2", c)
 	}
 	// mu=1: add w·‖X0−X1‖² = 2 over the single edge.
-	c = Loss(g, X, xref, lab, Config{Mu: 1})
+	c = loss(1)
 	if math.Abs(c-4) > 1e-12 {
 		t.Errorf("loss with mu = %g, want 4", c)
 	}
@@ -286,7 +289,6 @@ func BenchmarkPropagate(b *testing.B) {
 			g.Neighbors[i] = append(g.Neighbors[i], graph.Edge{To: int32(rng.Intn(n)), Weight: rng.Float64()})
 		}
 	}
-	X := make([][]float64, n)
 	xref := make([][]float64, n)
 	lab := make([]bool, n)
 	for i := 0; i < n; i++ {
@@ -295,13 +297,14 @@ func BenchmarkPropagate(b *testing.B) {
 			xref[i] = dist(0.2, 0.2, 0.6)
 		}
 	}
+	X := make([]float64, n*corpus.NumTags)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for v := range X {
-			X[v] = nil
+		for j := range X {
+			X[j] = 1.0 / corpus.NumTags
 		}
-		if _, err := Run(g, X, xref, lab, Config{Iterations: 3, Mu: 1e-6, Nu: 1e-6}); err != nil {
+		if _, err := RunFlat(g, X, xref, lab, Config{Iterations: 3, Mu: 1e-6, Nu: 1e-6}); err != nil {
 			b.Fatal(err)
 		}
 	}

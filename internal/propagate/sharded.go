@@ -44,53 +44,6 @@ type shardState struct {
 	delta     float64
 }
 
-// RunSharded performs propagation in place on slice-of-rows beliefs X
-// over a sharded graph, exactly as Run does over a flat one. It is the
-// same thin adapter: materialize nil rows, flatten, run the sharded flat
-// kernel, copy back.
-func RunSharded(sg *graph.ShardedGraph, X, xref [][]float64, labelled []bool, cfg Config) (Result, error) {
-	n := sg.NumVertices()
-	if len(X) != n || len(xref) != n || len(labelled) != n {
-		return Result{}, fmt.Errorf("propagate: slice lengths (%d,%d,%d) != vertex count %d",
-			len(X), len(xref), len(labelled), n)
-	}
-	const Y = corpus.NumTags
-	uniform := 1.0 / Y
-	nilRows := 0
-	for v := range X {
-		if X[v] == nil {
-			nilRows++
-		}
-	}
-	if nilRows > 0 {
-		backing := make([]float64, nilRows*Y)
-		bi := 0
-		for v := range X {
-			if X[v] != nil {
-				continue
-			}
-			row := backing[bi : bi+Y : bi+Y]
-			for y := 0; y < Y; y++ {
-				row[y] = uniform
-			}
-			X[v] = row
-			bi += Y
-		}
-	}
-	flat := make([]float64, n*Y)
-	for v := range X {
-		copy(flat[v*Y:(v+1)*Y], X[v])
-	}
-	res, err := RunShardedFlat(sg, flat, xref, labelled, cfg)
-	if err != nil {
-		return res, err
-	}
-	for v := range X {
-		copy(X[v], flat[v*Y:(v+1)*Y])
-	}
-	return res, nil
-}
-
 // RunShardedFlat performs propagation in place on the flat belief matrix
 // X over a sharded graph. For every shard count the returned Result and
 // the final X are bit-identical to RunFlat over the flat graph with the

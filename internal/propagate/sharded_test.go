@@ -68,26 +68,24 @@ func TestRunShardedFlatMatchesRunFlat(t *testing.T) {
 	}
 }
 
-// TestRunShardedMatchesRun covers the slice-of-rows adapter, including
-// nil-row materialization.
+// TestRunShardedMatchesRun covers fixtures seeded from rows with gaps:
+// rows nobody observed start uniform (flatRows, as graphner seeds them),
+// and the sharded kernel must still match the flat one bit for bit.
 func TestRunShardedMatchesRun(t *testing.T) {
 	const Y = corpus.NumTags
 	rng := rand.New(rand.NewSource(29))
 	g, flat, xref, labelled := shardedProblem(rng, 90, 4)
 	n := g.NumVertices()
-	rows := func() [][]float64 {
-		X := make([][]float64, n)
-		for v := 0; v < n; v++ {
-			if v%7 == 3 {
-				continue // nil row: adapter materializes it as uniform
-			}
-			X[v] = append([]float64(nil), flat[v*Y:v*Y+Y]...)
+	rows := make([][]float64, n)
+	for v := 0; v < n; v++ {
+		if v%7 == 3 {
+			continue // nil row: seeded uniform
 		}
-		return X
+		rows[v] = flat[v*Y : v*Y+Y]
 	}
 	cfg := Config{Mu: 0.2, Nu: 0.05, Iterations: 3, Workers: 2}
-	want := rows()
-	wantRes, err := Run(g, want, xref, labelled, cfg)
+	want := flatRows(rows)
+	wantRes, err := RunFlat(g, want, xref, labelled, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,18 +94,16 @@ func TestRunShardedMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := rows()
-		gotRes, err := RunSharded(sg, got, xref, labelled, cfg)
+		got := flatRows(rows)
+		gotRes, err := RunShardedFlat(sg, got, xref, labelled, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tag := fmt.Sprintf("adapter/S=%d", s)
+		tag := fmt.Sprintf("uniform-seeded/S=%d", s)
 		assertSameResult(t, tag, gotRes, wantRes)
-		for v := range want {
-			for y := 0; y < Y; y++ {
-				if got[v][y] != want[v][y] { // lint:checked adapter must be bit-exact
-					t.Fatalf("%s: row %d entry %d differs", tag, v, y)
-				}
+		for i := range want {
+			if got[i] != want[i] { // lint:checked sharded kernel must be bit-exact
+				t.Fatalf("%s: belief entry %d is %v, flat kernel has %v", tag, i, got[i], want[i])
 			}
 		}
 	}

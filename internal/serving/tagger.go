@@ -199,17 +199,7 @@ func (t *Tagger) TagInto(sc *Scratch, text string, tags []corpus.Tag) (int, erro
 		}
 		ent.generation = t.generation
 	}
-	for i := 0; i < n; i++ {
-		row := i * Y
-		if v := ent.verts[i]; v >= 0 {
-			b := int(v) * Y
-			for y := 0; y < Y; y++ {
-				sc.comb[row+y] = t.alpha*sc.post[row+y] + (1-t.alpha)*t.beliefs[b+y]
-			}
-		} else {
-			copy(sc.comb[row:row+Y], sc.post[row:row+Y])
-		}
-	}
+	graphner.Combine(sc.post, ent.verts, t.beliefs, t.alpha, sc.comb)
 	t.mu.RUnlock()
 
 	if err := t.decoder.DecodeFlat(sc.comb, n, tags); err != nil {
