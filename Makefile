@@ -58,6 +58,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzTokenize -fuzztime=10s ./internal/tokenize
 	$(GO) test -run='^$$' -fuzz=FuzzCompileSentence -fuzztime=10s ./internal/crf
 	$(GO) test -run='^$$' -fuzz=FuzzReadArtifact -fuzztime=10s ./internal/graphner
+	$(GO) test -run='^$$' -fuzz=FuzzReadFrom -fuzztime=10s ./internal/graph
 	$(GO) test -run 'TestPoolLife|TestLockAtCall|TestDeterminism|TestErrDrop|TestDiffRoundTrip' -count=1 ./internal/analysis ./cmd/graphnerlint
 
 # Fast performance-regression gate (<30s): the incremental-maintenance

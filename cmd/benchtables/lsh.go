@@ -1,11 +1,11 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/corpus/synth"
@@ -207,18 +207,28 @@ func runLSH(outPath string, log *os.File) error {
 	logf("accuracy gate: exact F1 %.4f, lsh F1 %.4f, delta %+.4f (tolerance %.3f)\n",
 		report.F1Exact, report.F1LSH, report.F1Delta, report.F1Tolerance)
 
-	data, err := json.MarshalIndent(&report, "", "  ")
-	if err != nil {
+	if err := writeReport(outPath, &report); err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	if outPath == "-" {
-		_, err = os.Stdout.Write(data)
-		return err
+	if outPath != "-" {
+		logf("wrote %s\n", outPath)
 	}
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return err
+	return report.gateErr()
+}
+
+// gateErr names every gate the report records as failing, or returns nil
+// when both pass. runLSH writes the report first, so a failing run still
+// leaves its measurements behind.
+func (r *lshReport) gateErr() error {
+	var failed []string
+	if !r.SpeedupRecallGatePass {
+		failed = append(failed, "speedup_recall_gate_pass")
 	}
-	logf("wrote %s\n", outPath)
-	return nil
+	if !r.F1GatePass {
+		failed = append(failed, "f1_gate_pass")
+	}
+	if len(failed) == 0 {
+		return nil
+	}
+	return fmt.Errorf("gate failed: %s", strings.Join(failed, ", "))
 }

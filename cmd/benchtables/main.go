@@ -43,7 +43,7 @@ func main() {
 	hotpathsOut := flag.String("hotpaths-out", "BENCH_hotpaths.json", "output path for -hotpaths (\"-\" for stdout)")
 	incremental := flag.Bool("incremental", false, "benchmark incremental graph maintenance vs full rebuild (batch 10/50/250 on a 1000-sentence base) and write a JSON report")
 	incrementalOut := flag.String("incremental-out", "BENCH_incremental.json", "output path for -incremental (\"-\" for stdout)")
-	lsh := flag.Bool("lsh", false, "benchmark banded-LSH graph construction vs the exact builder across corpus sizes (recall and worker bit-identity verified inline, end-to-end F1 accuracy gate) and write a JSON report")
+	lsh := flag.Bool("lsh", false, "benchmark banded-LSH graph construction vs the exact builder across corpus sizes (recall and worker bit-identity verified inline, end-to-end F1 accuracy gate) and write a JSON report; exits non-zero when a gate fails")
 	lshOut := flag.String("lsh-out", "BENCH_lsh.json", "output path for -lsh (\"-\" for stdout)")
 	shard := flag.Bool("shard", false, "benchmark sharded graph construction and SPMD propagation across shard x worker counts (bit-identity verified inline) and write a JSON report")
 	shardOut := flag.String("shard-out", "BENCH_shard.json", "output path for -shard (\"-\" for stdout)")

@@ -348,6 +348,20 @@ type posting struct {
 // inverted index for candidate generation and exact sparse dot products for
 // scoring. The search over query vertices runs in parallel.
 //
+// Each vertex pair is scored once. Query q accumulates dot products only
+// against candidates c > q — every postings list is entered past q — and
+// the cosine is folded into both row q and row c. The score from either
+// end would be bit-identical: both sum the same products q_f·c_f over the
+// shared uncapped features in ascending feature-id order, and
+// |q|·|c| = |c|·|q| exactly. Rows are kept in per-worker top-K buffers and
+// merged per vertex after the scan; insertTopKEdge's total order (weight
+// descending, id ascending) makes the result independent of which worker
+// saw which pair, and of the order it saw them in.
+//
+// The skip rules are the per-query ones: a zero-norm query has a nil row,
+// zero-norm candidates are dropped, a vertex is never its own neighbour,
+// and the MaxDF cap counts a feature's full postings length.
+//
 // First-touch tracking uses a per-worker epoch array rather than a
 // scores[cand] == 0 sentinel: with mixed-sign vector values a partial dot
 // product can transiently cancel to exactly zero, which would re-append the
@@ -355,7 +369,83 @@ type posting struct {
 // but knn is also exercised directly with arbitrary vectors).
 func knn(vecs []sparseVec, cfg BuilderConfig) [][]Edge {
 	n := len(vecs)
-	// Inverted index: feature id -> postings carrying (vertex, value).
+	postings := buildPostings(vecs)
+	// Dense norms keep the per-candidate lookup cache-resident.
+	norms := make([]float64, n)
+	for i := range vecs {
+		norms[i] = vecs[i].norm
+	}
+	workers := cfg.Workers
+	if workers > n {
+		workers = n
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	rows := make([]topKRows, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rows[w] = newTopKRows(n, cfg.K)
+			r := &rows[w]
+			acc := make([]accum, n)
+			epoch := int32(0)
+			touched := make([]int32, 0, 1024)
+			for vi := w; vi < n; vi += workers {
+				q := &vecs[vi]
+				if q.norm == 0 {
+					continue
+				}
+				epoch++
+				touched = scoreAbove(q, int32(vi), postings, cfg.MaxDF, acc, epoch, touched[:0])
+				// Stale scores need no reset pass: the next query's epoch
+				// invalidates them wholesale.
+				for _, c := range touched {
+					cn := norms[c]
+					if cn == 0 {
+						continue
+					}
+					wgt := acc[c].score / (q.norm * cn)
+					r.fold(int32(vi), Edge{To: c, Weight: wgt})
+					r.fold(c, Edge{To: int32(vi), Weight: wgt})
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	// Merge: fold every other worker's row into worker 0's, which then
+	// backs the output. Each merge worker owns a stride of vertices.
+	out := make([][]Edge, n)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			dst := &rows[0]
+			for v := w; v < n; v += workers {
+				if norms[v] == 0 {
+					continue
+				}
+				for s := 1; s < workers; s++ {
+					for _, e := range rows[s].row(v) {
+						dst.fold(int32(v), e)
+					}
+				}
+				out[v] = dst.row(v)
+			}
+		}(w)
+	}
+	wg.Wait()
+	return out
+}
+
+// buildPostings inverts the vectors into per-feature postings lists
+// carrying (vertex, value), each in ascending vertex id. Two passes — count
+// postings per feature, then fill one flat backing — avoid per-list append
+// growth.
+func buildPostings(vecs []sparseVec) [][]posting {
 	nf := 0
 	for i := range vecs {
 		for _, id := range vecs[i].ids {
@@ -364,8 +454,6 @@ func knn(vecs []sparseVec, cfg BuilderConfig) [][]Edge {
 			}
 		}
 	}
-	// Two passes: count postings per feature, then fill one flat backing —
-	// no per-list append growth.
 	counts := make([]int32, nf)
 	total := 0
 	for i := range vecs {
@@ -387,43 +475,90 @@ func knn(vecs []sparseVec, cfg BuilderConfig) [][]Edge {
 			postings[id] = append(postings[id], posting{v: v32, val: vecs[vi].vals[k]})
 		}
 	}
+	return postings
+}
 
-	out := make([][]Edge, n)
-	var wg sync.WaitGroup
-	workers := cfg.Workers
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			scores := make([]float64, n)
-			seen := make([]int32, n) // epoch at which scores[c] became valid
-			epoch := int32(0)
-			touched := make([]int32, 0, 1024)
-			for vi := w; vi < n; vi += workers {
-				q := &vecs[vi]
-				if q.norm == 0 {
-					continue
-				}
-				epoch++
-				touched = scoreInto(q, int32(vi), postings, cfg.MaxDF, scores, seen, epoch, touched[:0])
-				// Select top K by cosine. Stale scores need no reset pass:
-				// the next query's epoch invalidates them wholesale.
-				out[vi] = topK(scores, touched, q.norm, vecs, cfg.K, nil)
-			}
-		}(w)
+// topKRows is one worker's top-K buffers for every vertex: row v occupies
+// edges[v*k : v*k+lens[v]], descending under edgeLess.
+type topKRows struct {
+	k     int
+	edges []Edge
+	lens  []int32
+	// kth[v] is the weight of row v's K-th edge once the row is full and
+	// -Inf before. A candidate strictly below it cannot enter the row, so
+	// fold rejects it without touching the row; ties, NaN weights and rows
+	// that are not yet full all go through insertTopKEdge.
+	kth []float64
+}
+
+func newTopKRows(n, k int) topKRows {
+	r := topKRows{k: k, edges: make([]Edge, n*k), lens: make([]int32, n), kth: make([]float64, n)}
+	for v := range r.kth {
+		r.kth[v] = math.Inf(-1)
 	}
-	wg.Wait()
-	return out
+	return r
+}
+
+// row returns vertex v's current top-K row, capped at K so that an append
+// by a later owner cannot spill into row v+1.
+func (r *topKRows) row(v int) []Edge {
+	base := v * r.k
+	return r.edges[base : base+int(r.lens[v]) : base+r.k]
+}
+
+// fold offers edge e to row v.
+func (r *topKRows) fold(v int32, e Edge) {
+	if e.Weight < r.kth[v] {
+		return
+	}
+	row := insertTopKEdge(r.row(int(v)), e, r.k, nil)
+	r.lens[v] = int32(len(row))
+	if len(row) == r.k {
+		r.kth[v] = row[r.k-1].Weight
+	}
+}
+
+// accum is one candidate's slot in knn's per-worker score scratch: the
+// partial dot product and the epoch at which it became valid, side by side
+// so the first-touch check and the accumulation share a cache line.
+type accum struct {
+	score float64
+	epoch int32
+}
+
+// scoreAbove is scoreInto restricted to candidates with ids above self:
+// each postings list is entered past self's own entry (binary search; the
+// lists are sorted by vertex id), so the half-pair knn scores every pair
+// from its lower end only. The MaxDF cap still counts the full list.
+func scoreAbove(q *sparseVec, self int32, postings [][]posting, maxDF int, acc []accum, epoch int32, touched []int32) []int32 {
+	for k, id := range q.ids {
+		pl := postings[id]
+		if maxDF > 0 && len(pl) > maxDF {
+			continue
+		}
+		qv := q.vals[k]
+		for _, p := range pl[postingPos(pl, self+1):] {
+			a := &acc[p.v]
+			if a.epoch != epoch {
+				a.epoch = epoch
+				a.score = 0
+				touched = append(touched, p.v)
+			}
+			// Sparse partial dot: accumulate q_f · c_f.
+			a.score += qv * p.val
+		}
+	}
+	return touched
 }
 
 // scoreInto accumulates the sparse partial dot products of query vector q
 // against every candidate sharing an (uncapped) feature, via a straight
 // postings merge. seen/scores are epoch-tracked per-worker scratch; the ids
 // of the candidates touched this epoch are appended to touched and
-// returned. The batch knn search and the incremental Updater's dirty-row
-// recompute share this kernel, so incremental scores are bit-identical to
-// from-scratch ones: both iterate q's features in ascending id order over
-// postings lists sorted by vertex id.
+// returned. The incremental Updater's dirty-row rescans use it. Its scores
+// are bit-identical to the half-pair knn's (scoreAbove from the pair's
+// lower end): both sum the products over the shared uncapped features in
+// ascending feature-id order.
 func scoreInto(q *sparseVec, self int32, postings [][]posting, maxDF int, scores []float64, seen []int32, epoch int32, touched []int32) []int32 {
 	for k, id := range q.ids {
 		pl := postings[id]
@@ -502,8 +637,8 @@ func edgeLess(a, b Edge, rank []int32) bool {
 
 // insertTopKEdge folds one candidate into a descending-sorted top-K
 // buffer by ordered insertion (O(K) with K=10), returning the possibly
-// regrown slice. The batch topK pass, the incremental Updater, and the
-// sharded merge all share this fold.
+// regrown slice. The exact knn's row buffers, the incremental Updater's
+// topK, the sharded merge and the LSH re-rank all share this fold.
 func insertTopKEdge(edges []Edge, e Edge, k int, rank []int32) []Edge {
 	if len(edges) == k {
 		if !edgeLess(e, edges[k-1], rank) {

@@ -376,6 +376,10 @@ func (g *Graph) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
+// maxPresize bounds how many vertices ReadFrom allocates for on the word
+// of the V header alone.
+const maxPresize = 1 << 16
+
 // ReadFrom deserializes a graph written by WriteTo.
 func ReadFrom(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
@@ -406,8 +410,10 @@ func ReadFrom(r io.Reader) (*Graph, error) {
 	if err != nil || n < 0 {
 		return nil, fmt.Errorf("graph: bad V header %q", vh)
 	}
-	g.Vertices = make([]corpus.NGram, 0, n)
-	g.Neighbors = make([][]Edge, 0, n)
+	// The header is unverified until the N lines arrive: pre-size for at
+	// most maxPresize vertices and let larger graphs grow as they are read.
+	g.Vertices = make([]corpus.NGram, 0, min(n, maxPresize))
+	g.Neighbors = make([][]Edge, 0, min(n, maxPresize))
 	for {
 		l, ok := read()
 		if !ok {
@@ -416,6 +422,9 @@ func ReadFrom(r io.Reader) (*Graph, error) {
 		switch {
 		case strings.HasPrefix(l, "N "):
 			v := corpus.NGram(unescape(l[2:]))
+			if _, dup := g.Index[v]; dup {
+				return nil, fmt.Errorf("graph: line %d: duplicate vertex %q", line, v)
+			}
 			g.Index[v] = len(g.Vertices)
 			g.Vertices = append(g.Vertices, v)
 			g.Neighbors = append(g.Neighbors, nil)
@@ -430,6 +439,9 @@ func ReadFrom(r io.Reader) (*Graph, error) {
 			}
 			if int(to) >= n || to < 0 {
 				return nil, fmt.Errorf("graph: line %d: edge target %d out of range", line, to)
+			}
+			if math.IsNaN(wgt) || math.IsInf(wgt, 0) {
+				return nil, fmt.Errorf("graph: line %d: non-finite edge weight %v", line, wgt)
 			}
 			last := len(g.Neighbors) - 1
 			g.Neighbors[last] = append(g.Neighbors[last], Edge{To: to, Weight: wgt})
@@ -458,20 +470,28 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// escape protects the NUL separators inside NGram keys for the text format.
+// escape protects the NUL separators inside NGram keys for the text
+// format, and the CR and LF bytes a line-oriented reader would split on or
+// strip, so every NGram survives a WriteTo/ReadFrom round trip.
 func escape(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	return strings.ReplaceAll(s, "\x00", `\0`)
+	return escaper.Replace(s)
 }
+
+var escaper = strings.NewReplacer(`\`, `\\`, "\x00", `\0`, "\r", `\r`, "\n", `\n`)
 
 func unescape(s string) string {
 	var b strings.Builder
 	for i := 0; i < len(s); i++ {
 		if s[i] == '\\' && i+1 < len(s) {
 			i++
-			if s[i] == '0' {
+			switch s[i] {
+			case '0':
 				b.WriteByte(0)
-			} else {
+			case 'r':
+				b.WriteByte('\r')
+			case 'n':
+				b.WriteByte('\n')
+			default:
 				b.WriteByte(s[i])
 			}
 			continue

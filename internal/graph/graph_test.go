@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/corpus"
@@ -301,20 +302,92 @@ func TestSerializationRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadFromMalformed(t *testing.T) {
-	for _, bad := range []string{
-		"",
-		"K x\n",
-		"K 3\nV x\n",
-		"K 3\nV 1\nE 0 1.0\n",           // edge before vertex
-		"K 3\nV 2\nN a\nE 5 1.0\nN b\n", // edge out of range
-		"K 3\nV 3\nN a\nN b\n",          // vertex count mismatch
-		"K 3\nV 1\nN a\nX nonsense\n",   // unknown record
-	} {
-		if _, err := ReadFrom(bytes.NewReader([]byte(bad))); err == nil {
-			t.Errorf("want error for %q", bad)
+// TestSerializationEscapes round-trips vertex names holding every byte the
+// text format escapes. A name ending in CR once lost it: the line reader
+// strips one trailing CR, so "N \r\r" read as "\r" and re-read as "".
+func TestSerializationEscapes(t *testing.T) {
+	for _, name := range []string{"a\x00b", `back\slash`, `\0`, "cr\r", "\r\r", "lf\nlf", "\r\n", `\`} {
+		g := &Graph{K: 1, Vertices: []corpus.NGram{corpus.NGram(name), "x"}, Neighbors: [][]Edge{{{To: 1, Weight: 0.5}}, nil}}
+		g.BuildCSR()
+		var buf bytes.Buffer
+		if _, err := g.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		g2, err := ReadFrom(&buf)
+		if err != nil {
+			t.Fatalf("%q: %v", name, err)
+		}
+		if !g.Equal(g2) {
+			t.Errorf("%q read back as %q", name, g2.Vertices[0])
 		}
 	}
+}
+
+func TestReadFromMalformed(t *testing.T) {
+	for _, c := range []struct{ name, in, want string }{
+		{"empty", "", "missing K header"},
+		{"bad-k", "K x\n", "bad K header"},
+		{"bad-v", "K 3\nV x\n", "bad V header"},
+		{"edge-before-vertex", "K 3\nV 1\nE 0 1.0\n", "edge before vertex"},
+		{"edge-out-of-range", "K 3\nV 2\nN a\nE 5 1.0\nN b\n", "out of range"},
+		{"vertex-count-mismatch", "K 3\nV 3\nN a\nN b\n", "header promised 3 vertices, got 2"},
+		{"unknown-record", "K 3\nV 1\nN a\nX nonsense\n", "unrecognized"},
+		// Index maps each vertex to one id; a repeat would leave the
+		// first copy unreachable by Lookup.
+		{"duplicate-vertex", "K 3\nV 2\nN a\nN a\n", "duplicate vertex"},
+		// fmt's %g scans NaN and Inf. A NaN weight never equals itself, so
+		// it also broke the round trip FuzzReadFrom checks.
+		{"nan-weight", "K 3\nV 1\nN a\nE 0 NaN\n", "non-finite edge weight"},
+		{"inf-weight", "K 3\nV 2\nN a\nE 1 -Inf\nN b\n", "non-finite edge weight"},
+		// A 22-byte header once pre-sized 2^40 vertices and crashed the
+		// process out of memory.
+		{"huge-v-header", "K 10\nV 1099511627776\n", "header promised 1099511627776 vertices, got 0"},
+	} {
+		_, err := ReadFrom(strings.NewReader(c.in))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: ReadFrom(%q) error = %v, want one containing %q", c.name, c.in, err, c.want)
+		}
+	}
+}
+
+// FuzzReadFrom feeds arbitrary bytes to ReadFrom. Every input must be
+// rejected with an error or yield a graph that writes and reads back to an
+// Equal graph; none may panic or exhaust memory.
+func FuzzReadFrom(f *testing.F) {
+	// A small graph keeps the fuzzer's input minimization fast.
+	g, err := Build(makeCorpus([]string{"the wt1 gene was expressed .", "the bcl2 gene was mutated ."}), BuilderConfig{K: 2, Workers: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := g.WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()
+	f.Add(valid)
+	for _, n := range []int{0, 5, 12, len(valid) / 2, len(valid) - 1} {
+		f.Add(valid[:n])
+	}
+	f.Add([]byte("K 10\nV 1099511627776\n"))
+	f.Add([]byte("K 1\nV 2\nN a\nE 1 NaN\nN b\nE 0 Inf\n"))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		g, err := ReadFrom(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if _, err := g.WriteTo(&buf); err != nil {
+			t.Fatalf("WriteTo of an accepted graph: %v", err)
+		}
+		out := buf.String()
+		g2, err := ReadFrom(&buf)
+		if err != nil {
+			t.Fatalf("re-reading %q: %v", out, err)
+		}
+		if !g.Equal(g2) {
+			t.Fatalf("round trip changed the graph:\n%q\nwas written as\n%q", raw, out)
+		}
+	})
 }
 
 func TestLogHistogram(t *testing.T) {

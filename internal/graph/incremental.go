@@ -173,12 +173,9 @@ func NewUpdater(base *corpus.Corpus, cfg BuilderConfig) (*Updater, error) {
 	}
 	// Per-feature postings over the frozen feature space, ascending
 	// vertex id (base vertices are appended in id order).
-	u.postings = make([][]posting, st.alphabet.Len())
-	for vi := range vecs {
-		v := &vecs[vi]
-		for k, id := range v.ids {
-			u.postings[id] = append(u.postings[id], posting{v: int32(vi), val: v.vals[k]})
-		}
+	u.postings = buildPostings(vecs)
+	for len(u.postings) < st.alphabet.Len() {
+		u.postings = append(u.postings, nil)
 	}
 	// Base vertices come from UniqueTrigrams, already in ascending NGram
 	// order: canonical rank is the identity.
